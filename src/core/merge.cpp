@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
@@ -24,13 +25,13 @@ class LoadDelta {
   explicit LoadDelta(std::int64_t slots)
       : dense_(static_cast<std::size_t>(slots), 0.0) {}
 
-  void add(ChannelId c, double v) {
+  /// Add \p v to channel \p c; returns the channel's new delta.
+  double add(ChannelId c, double v) {
     auto& cell = dense_[static_cast<std::size_t>(c)];
     if (cell == 0.0 && v != 0.0) touched_.push_back(c);
     cell += v;
+    return cell;
   }
-  double at(ChannelId c) const { return dense_[static_cast<std::size_t>(c)]; }
-  const std::vector<ChannelId>& touched() const { return touched_; }
   void clear() {
     for (const ChannelId c : touched_) dense_[static_cast<std::size_t>(c)] = 0;
     touched_.clear();
@@ -76,6 +77,7 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   span.attr("beam_width", static_cast<std::int64_t>(cfg.beamWidth));
   std::int64_t candidatesEvaluated = 0;
   RAHTM_REQUIRE(!children.empty(), "mergeChildren: no children");
+  RAHTM_REQUIRE(cfg.beamWidth >= 1, "mergeChildren: beam width must be >= 1");
   RAHTM_REQUIRE(childShape.size() == regionTopo.ndims() &&
                     childGrid.size() == regionTopo.ndims(),
                 "mergeChildren: dimension mismatch");
@@ -287,18 +289,79 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     double objective;
   };
   constexpr std::size_t kPinOrient = SIZE_MAX;
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+  // Candidates count toward the merge pulse in batches of 64, like the
+  // anneal's iterations, so the watchdog sees a long merge making progress.
+  const auto countCandidates = [&](std::int64_t n) {
+    const std::int64_t batchesBefore = candidatesEvaluated / 64;
+    candidatesEvaluated += n;
+    const std::int64_t batches = candidatesEvaluated / 64 - batchesBefore;
+    if (batches > 0) {
+      obs::Heartbeats::instance().beat(
+          obs::Pulse::MergeCandidates,
+          static_cast<std::uint64_t>(batches) * 64);
+    }
+  };
+
+  // The one candidate evaluator: the objective of placing child ci at
+  // childPos on top of `entry`, or kUnbounded as soon as it provably
+  // exceeds `bound`. Every routed contribution (fraction x bytes) is
+  // positive and rounding is monotone, so a channel's running
+  // load + delta only grows towards its final value, and the running max
+  // over all additions equals max(partial + delta) exactly.
+  const auto evaluate = [&](std::size_t ci, const BeamEntry& entry,
+                            double bound) {
+    const auto nodeOf = [&](std::size_t cluster) {
+      return childOfCluster[cluster] == ci
+                 ? childPos[cluster - clusterBase[ci]]
+                 : entry.localNode[cluster];
+    };
+    if (!useLoads) {
+      double hb = entry.hopBytes;
+      for (const std::uint32_t fi : flowsTouching.of(ci)) {
+        const FlowRef& f = flows[fi];
+        const NodeId na = nodeOf(f.a);
+        const NodeId nb = nodeOf(f.b);
+        if (na == kInvalidNode || nb == kInvalidNode) continue;
+        hb += f.bytes * regionTopo.distance(na, nb);
+        if (hb > bound) return kUnbounded;
+      }
+      return hb;
+    }
+    delta.clear();
+    double m = entry.maxLoad;
+    // Route the new block's incident flows whose peer is placed (or inside
+    // the block itself).
+    for (const std::uint32_t fi : flowsTouching.of(ci)) {
+      const FlowRef& f = flows[fi];
+      const NodeId na = nodeOf(f.a);
+      const NodeId nb = nodeOf(f.b);
+      if (na == kInvalidNode || nb == kInvalidNode || na == nb) continue;
+      forFlow(na, nb, f.bytes, [&](ChannelId c, double v) {
+        m = std::max(m, entry.loads[static_cast<std::size_t>(c)] +
+                            delta.add(c, v));
+      });
+      if (m > bound) return kUnbounded;
+    }
+    return m;
+  };
 
   for (const std::size_t ci : order) {
     std::vector<Candidate> best;  // kept sorted ascending, max beamWidth
+    const auto beamFull = [&] {
+      return best.size() >= static_cast<std::size_t>(cfg.beamWidth);
+    };
+    // A full beam rejects exactly the objectives above its worst member
+    // (ties still insert), so that worst is an exact pruning bound.
+    const auto bound = [&] {
+      return beamFull() ? best.back().objective : kUnbounded;
+    };
     const auto consider = [&](const Candidate& c) {
-      ++candidatesEvaluated;
       const auto pos = std::lower_bound(
           best.begin(), best.end(), c.objective,
           [](const Candidate& x, double v) { return x.objective < v; });
-      if (pos == best.end() &&
-          best.size() >= static_cast<std::size_t>(cfg.beamWidth)) {
-        return;
-      }
+      if (pos == best.end() && beamFull()) return;
       best.insert(pos, c);
       if (best.size() > static_cast<std::size_t>(cfg.beamWidth)) {
         best.pop_back();
@@ -332,54 +395,24 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
 
     for (std::size_t bi = 0; bi < beam.size(); ++bi) {
       const BeamEntry& entry = beam[bi];
+      // Every extension of this parent starts at its objective, so none
+      // can beat a full beam's worst once the parent itself exceeds it.
+      if (entryObjective(entry, cfg.objective) > bound()) {
+        std::int64_t freeSlots = 0;
+        for (const std::size_t slotId : slotChoices) {
+          if (!entry.slotUsed[slotId]) ++freeSlots;
+        }
+        countCandidates(freeSlots * static_cast<std::int64_t>(orients.size()));
+        continue;
+      }
       for (const std::size_t slotId : slotChoices) {
         if (entry.slotUsed[slotId]) continue;
         const Coord slot = slotGrid.coordOf(static_cast<NodeId>(slotId));
         for (std::size_t oi = 0; oi < orients.size(); ++oi) {
           placeChild(ci, orients[oi], slot, childPos);
-          double objective;
-          if (useLoads) {
-            delta.clear();
-            // Route the new block's incident flows whose peer is placed
-            // (or inside the block itself).
-            for (const std::uint32_t fi : flowsTouching.of(ci)) {
-              const FlowRef& f = flows[fi];
-              const NodeId na = childOfCluster[f.a] == ci
-                                    ? childPos[f.a - clusterBase[ci]]
-                                    : entry.localNode[f.a];
-              const NodeId nb = childOfCluster[f.b] == ci
-                                    ? childPos[f.b - clusterBase[ci]]
-                                    : entry.localNode[f.b];
-              if (na == kInvalidNode || nb == kInvalidNode || na == nb) {
-                continue;
-              }
-              forFlow(
-                  na, nb, f.bytes,
-                  [&delta](ChannelId c, double v) { delta.add(c, v); });
-            }
-            // max(partial + delta) == max(partialMax, max over touched).
-            double m = entry.maxLoad;
-            for (const ChannelId c : delta.touched()) {
-              m = std::max(m, entry.loads[static_cast<std::size_t>(c)] +
-                                  delta.at(c));
-            }
-            objective = m;
-          } else {
-            double hb = entry.hopBytes;
-            for (const std::uint32_t fi : flowsTouching.of(ci)) {
-              const FlowRef& f = flows[fi];
-              const NodeId na = childOfCluster[f.a] == ci
-                                    ? childPos[f.a - clusterBase[ci]]
-                                    : entry.localNode[f.a];
-              const NodeId nb = childOfCluster[f.b] == ci
-                                    ? childPos[f.b - clusterBase[ci]]
-                                    : entry.localNode[f.b];
-              if (na == kInvalidNode || nb == kInvalidNode) continue;
-              hb += f.bytes * regionTopo.distance(na, nb);
-            }
-            objective = hb;
-          }
-          consider({bi, oi, slotId, objective});
+          const double objective = evaluate(ci, entry, bound());
+          countCandidates(1);
+          if (objective != kUnbounded) consider({bi, oi, slotId, objective});
         }
       }
     }
@@ -387,52 +420,11 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
 
     // Force the pinned-lineage extension (pin-only internals at the pinned
     // slot) into the survivor set, guaranteeing the global pseudo-pin
-    // solution survives to the end.
-    {
-      {
-        Candidate pin{pinnedLineage, kPinOrient, pinnedSlot, 0};
-        const BeamEntry& entry = beam[pinnedLineage];
-        placeChildPin(ci, childPos);
-        if (useLoads) {
-          delta.clear();
-          for (const std::uint32_t fi : flowsTouching.of(ci)) {
-            const FlowRef& f = flows[fi];
-            const NodeId na = childOfCluster[f.a] == ci
-                                  ? childPos[f.a - clusterBase[ci]]
-                                  : entry.localNode[f.a];
-            const NodeId nb = childOfCluster[f.b] == ci
-                                  ? childPos[f.b - clusterBase[ci]]
-                                  : entry.localNode[f.b];
-            if (na == kInvalidNode || nb == kInvalidNode || na == nb) continue;
-            forFlow(
-                na, nb, f.bytes,
-                [&](ChannelId c, double v) { delta.add(c, v); });
-          }
-          double m = entry.maxLoad;
-          for (const ChannelId c : delta.touched()) {
-            m = std::max(m,
-                         entry.loads[static_cast<std::size_t>(c)] + delta.at(c));
-          }
-          pin.objective = m;
-        } else {
-          double hb = entry.hopBytes;
-          for (const std::uint32_t fi : flowsTouching.of(ci)) {
-            const FlowRef& f = flows[fi];
-            const NodeId na = childOfCluster[f.a] == ci
-                                  ? childPos[f.a - clusterBase[ci]]
-                                  : entry.localNode[f.a];
-            const NodeId nb = childOfCluster[f.b] == ci
-                                  ? childPos[f.b - clusterBase[ci]]
-                                  : entry.localNode[f.b];
-            if (na == kInvalidNode || nb == kInvalidNode) continue;
-            hb += f.bytes * regionTopo.distance(na, nb);
-          }
-          pin.objective = hb;
-        }
-        ++candidatesEvaluated;
-        best.push_back(pin);
-      }
-    }
+    // solution survives to the end. It is always kept, so never pruned.
+    placeChildPin(ci, childPos);
+    best.push_back({pinnedLineage, kPinOrient, pinnedSlot,
+                    evaluate(ci, beam[pinnedLineage], kUnbounded)});
+    countCandidates(1);
 
     // Materialize survivors into the next beam.
     std::vector<BeamEntry> next;

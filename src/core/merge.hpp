@@ -11,6 +11,21 @@
 /// retained partial merge, and the best N combinations survive (beam
 /// search, N = 64 in the paper). Optionally the incoming block may also be
 /// *repositioned* onto any free slot.
+///
+/// Exact bound prune: once the survivor list holds N candidates, its worst
+/// objective bounds every later candidate. A full list rejects exactly the
+/// objectives strictly above that worst — a tie still inserts and displaces
+/// the old worst — so a candidate can be abandoned as soon as it provably
+/// exceeds the bound, without changing the survivors or their order:
+///  * a parent whose own objective already exceeds the bound is skipped,
+///    since every extension of it starts there;
+///  * a candidate stops routing once some channel's running load + delta
+///    (or the running hop-bytes sum) exceeds the bound. Every routed
+///    contribution is non-negative and rounding is monotone, so the final
+///    value would exceed it too.
+/// Pruned candidates still count in `rahtm.merge.candidates` and in the
+/// `merge_candidates` heartbeat. The pinned-lineage candidate is always
+/// kept, so it is evaluated without a bound.
 
 #include <vector>
 

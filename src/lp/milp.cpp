@@ -88,6 +88,7 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
   if (!opts.warmStart.empty()) tryIncumbent(opts.warmStart);
 
   bool unresolvedNodes = false;
+  bool relaxTimedOut = false;
   SolveStatus finalStatus = SolveStatus::Optimal;
   while (!open.empty()) {
     if (opts.maxNodes > 0 && result.nodesExplored >= opts.maxNodes) {
@@ -133,10 +134,12 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
       }
       const LpSolution relax = solveLp(model, sopts);
       result.lpPivots += relax.pivots;
-      if (relax.status == SolveStatus::IterLimit) {
-        // Numerical trouble or iteration exhaustion: the node is dropped
-        // but optimality may no longer be claimed.
+      if (relax.status == SolveStatus::IterLimit ||
+          relax.status == SolveStatus::TimeLimit) {
+        // Numerical trouble, iteration exhaustion or the wall-clock budget:
+        // the node is dropped but optimality may no longer be claimed.
         unresolvedNodes = true;
+        relaxTimedOut |= relax.status == SolveStatus::TimeLimit;
       }
       if (relax.status == SolveStatus::Optimal) {
         const double bound = minimize * relax.objective;
@@ -172,7 +175,7 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
         }
         break;
       }
-      // Infeasible or iteration-limited nodes are fathomed.
+      // Infeasible, iteration- or time-limited nodes are fathomed.
     }
 
     // Restore bounds.
@@ -191,7 +194,9 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
   result.bestBound = minimize * openBound;
 
   if (finalStatus == SolveStatus::Optimal && unresolvedNodes) {
-    finalStatus = SolveStatus::IterLimit;  // cannot certify optimality
+    // Cannot certify optimality; say which budget cut the search short.
+    finalStatus =
+        relaxTimedOut ? SolveStatus::TimeLimit : SolveStatus::IterLimit;
   }
   if (finalStatus == SolveStatus::Optimal) {
     result.status =

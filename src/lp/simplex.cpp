@@ -54,7 +54,7 @@ class Simplex {
       return out;
     }
     SolveStatus s1 = iterate();
-    if (s1 == SolveStatus::IterLimit) {
+    if (s1 == SolveStatus::IterLimit || s1 == SolveStatus::TimeLimit) {
       out.status = s1;
       return out;
     }
@@ -302,7 +302,8 @@ class Simplex {
     return obj;
   }
 
-  /// One simplex phase; returns Optimal / Unbounded / IterLimit.
+  /// One simplex phase; returns Optimal / Unbounded / IterLimit /
+  /// TimeLimit.
   SolveStatus iterate() {
     const long maxIters =
         opts_.maxIterations > 0
@@ -314,7 +315,7 @@ class Simplex {
     for (long iter = 0; iter < maxIters; ++iter) {
       if (opts_.timeLimitSec > 0 && (iter & 63) == 0 &&
           timer_.seconds() > opts_.timeLimitSec) {
-        return SolveStatus::IterLimit;
+        return SolveStatus::TimeLimit;
       }
       const bool bland = stall > 2L * m_ + 50;
       const int enter = chooseEntering(bland);

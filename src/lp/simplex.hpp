@@ -45,7 +45,7 @@ struct SimplexOptions {
   long maxIterations = -1;    ///< -1: automatic (scales with model size)
   int refactorEvery = 128;    ///< rebuild the tableau every N pivots
   /// Wall-clock budget for one solve in seconds (<= 0: none). Checked
-  /// periodically inside the pivot loop; exhaustion returns IterLimit —
+  /// periodically inside the pivot loop; exhaustion returns TimeLimit —
   /// this is how the MILP's time limit interrupts a long relaxation.
   double timeLimitSec = -1;
 };

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "lp/milp.hpp"
@@ -238,6 +240,36 @@ TEST(Milp, RespectsNodeBudget) {
   const MilpSolution s = solveMilp(m, opts);
   EXPECT_TRUE(s.status == SolveStatus::NodeLimit ||
               s.status == SolveStatus::Optimal);
+}
+
+// A relaxation cut off by its wall-clock budget says so: the simplex returns
+// TimeLimit (not IterLimit), and branch-and-bound keeps the same incumbent
+// fallback it uses for an iteration cut-off, labelled time-limit.
+TEST(Milp, RelaxationTimeOutIsLabelledTimeLimit) {
+  Model m;
+  std::vector<VarId> v;
+  for (int i = 0; i < 12; ++i) {
+    v.push_back(m.addBinary("b" + std::to_string(i), 1));
+  }
+  m.setObjective(Objective::Maximize);
+  for (int i = 0; i < 4; ++i) {
+    m.addConstraint("row" + std::to_string(i),
+                    {{v[3 * i], 1}, {v[3 * i + 1], 1}, {v[3 * i + 2], 1}},
+                    Sense::LessEq, 1);
+  }
+  SimplexOptions tiny;
+  tiny.timeLimitSec = 1e-12;  // expires before the first pivot
+  EXPECT_EQ(solveLp(m, tiny).status, SolveStatus::TimeLimit);
+
+  MilpOptions opts;
+  opts.simplex = tiny;
+  opts.warmStart.assign(v.size(), 0.0);
+  const MilpSolution s = solveMilp(m, opts);
+  EXPECT_EQ(s.status, SolveStatus::TimeLimit);
+  EXPECT_EQ(std::string(toString(s.status)), "time-limit");
+  ASSERT_TRUE(s.hasIncumbent);
+  EXPECT_EQ(s.x, opts.warmStart);
+  EXPECT_EQ(s.objective, 0.0);
 }
 
 /// Randomized MILP vs exhaustive enumeration of binary points.

@@ -16,6 +16,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -109,6 +110,13 @@ int main(int argc, char** argv) {
 
     const CliArgs args(argc, argv);
     if (args.has("help") || !args.has("machine")) return usage(argv[0]);
+    const std::int64_t beam = args.getInt("beam", 64);
+    if (beam < 1 || beam > std::numeric_limits<int>::max()) {
+      std::cerr << "error: --beam must be an integer in [1, "
+                << std::numeric_limits<int>::max() << "], got " << beam
+                << "\n";
+      return 2;
+    }
     if (args.getBool("verbose")) setLogLevel(LogLevel::Info);
 
     // ---- Telemetry session (flags override the environment) --------------
@@ -211,7 +219,7 @@ int main(int argc, char** argv) {
     req.benchmark = args.getString("benchmark", "CG");
     req.messageBytes = args.getInt("bytes", 4096);
     req.mapper = args.getString("mapper", "rahtm");
-    req.beamWidth = static_cast<int>(args.getInt("beam", 64));
+    req.beamWidth = static_cast<int>(beam);
     req.enableMerge = !args.getBool("no-merge");
     req.finalRefinement = !args.getBool("no-refine");
     // The offline tool defaults to the paper's exact MILP on every leaf
