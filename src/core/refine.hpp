@@ -65,7 +65,7 @@ struct RefineResult {
   int swapsApplied = 0;
   int passes = 0;
   std::uint64_t probes = 0;       ///< candidate swaps evaluated
-  std::uint64_t denseSweeps = 0;  ///< full load-vector sweeps performed
+  std::uint64_t denseSweeps = 0;  ///< from-scratch load rebuilds performed
 };
 
 /// Improve \p nodeOfCluster (a placement of clusterGraph's vertices onto
