@@ -12,7 +12,6 @@
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
 #include "routing/route_cache.hpp"
-#include "routing/oblivious.hpp"
 
 namespace rahtm {
 
@@ -177,84 +176,14 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     }
   };
 
-  // ---- Merge order: decreasing average pairwise interaction --------------
-  // Interaction(i,j): objective of just the i<->j flows with both children
-  // at their pinned slots, identity orientation (a cheap proxy for the
-  // paper's pairwise-best MCL table).
-  std::vector<double> avgInteraction(children.size(), 0.0);
-  {
-    const Orientation ident = Orientation::identity(childShape.size());
-    std::vector<std::vector<NodeId>> identPos(children.size());
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      placeChild(ci, ident, children[ci].slot, identPos[ci]);
-    }
-    std::vector<NodeId> clusterNode(regionClusters.size());
-    {
-      std::size_t idx = 0;
-      for (std::size_t ci = 0; ci < children.size(); ++ci) {
-        for (const NodeId n : identPos[ci]) clusterNode[idx++] = n;
-      }
-    }
-    std::vector<std::vector<double>> pairVol(
-        children.size(), std::vector<double>(children.size(), 0.0));
-    for (const FlowRef& f : flows) {
-      const std::size_t ca = childOfCluster[f.a];
-      const std::size_t cb = childOfCluster[f.b];
-      if (ca == cb) continue;
-      ChannelLoadMap pairLoads(regionTopo);
-      accumulateUniformMinimal(regionTopo,
-                               regionTopo.coordOf(clusterNode[f.a]),
-                               regionTopo.coordOf(clusterNode[f.b]), f.bytes,
-                               pairLoads);
-      const double v = cfg.objective == MapObjective::Mcl
-                           ? pairLoads.maxLoad()
-                           : f.bytes * regionTopo.distance(clusterNode[f.a],
-                                                           clusterNode[f.b]);
-      pairVol[ca][cb] += v;
-      pairVol[cb][ca] += v;
-    }
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      double sum = 0;
-      for (std::size_t cj = 0; cj < children.size(); ++cj) {
-        sum += pairVol[ci][cj];
-      }
-      avgInteraction[ci] =
-          children.size() > 1
-              ? sum / static_cast<double>(children.size() - 1)
-              : 0;
-    }
-  }
-  std::vector<std::size_t> order(children.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return avgInteraction[a] > avgInteraction[b];
-                   });
-
-  // ---- Beam search --------------------------------------------------------
-  const std::size_t slotCount = static_cast<std::size_t>(slotGrid.numNodes());
+  // ---- Route source -------------------------------------------------------
   const bool useLoads = cfg.objective == MapObjective::Mcl;
-  const auto loadSlots = static_cast<std::size_t>(regionTopo.numChannelSlots());
-
-  BeamEntry seed;
-  seed.localNode.assign(regionClusters.size(), kInvalidNode);
-  if (useLoads) seed.loads.assign(loadSlots, 0.0);
-  seed.orientationOfChild.assign(children.size(),
-                                 Orientation::identity(childShape.size()));
-  seed.slotOfChild.assign(children.size(), Coord(childShape.size(), 0));
-  seed.slotUsed.resize(slotCount, 0);
-  std::vector<BeamEntry> beam{seed};
-
-  // Anytime guarantee: the lineage that keeps every child at its phase-2
-  // pinned slot with identity orientation always survives pruning, so the
-  // merge result is never worse than the pseudo-pins it refines.
-  std::size_t pinnedLineage = 0;
-
   LoadDelta delta(regionTopo.numChannelSlots());
-  // Flat SoA route cache (shared engine infrastructure); built lazily —
-  // one region call is single-threaded. A provider-supplied complete table
-  // (cross-request cache) short-circuits the lazy build; route contents are
-  // identical either way.
+  // The region's one route source, read by the merge order and by every
+  // candidate: a flat SoA route cache (shared engine infrastructure), built
+  // lazily — one region call is single-threaded. A provider-supplied
+  // complete table (cross-request cache) short-circuits the lazy build;
+  // route contents are identical either way.
   std::shared_ptr<const RouteTable> sharedRoutes;
   std::shared_ptr<TieredRouteCache> tieredRoutes;
   if (useLoads && RouteTable::fullBuildFeasible(regionTopo)) {
@@ -280,6 +209,84 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       sink(r.channels[i], volume * r.fracs[i]);
     }
   };
+
+  // ---- Merge order: decreasing average pairwise interaction --------------
+  // Interaction(i,j): objective of just the i<->j flows with both children
+  // at their pinned slots, identity orientation (a cheap proxy for the
+  // paper's pairwise-best MCL table).
+  std::vector<double> avgInteraction(children.size(), 0.0);
+  {
+    const Orientation ident = Orientation::identity(childShape.size());
+    std::vector<std::vector<NodeId>> identPos(children.size());
+    for (std::size_t ci = 0; ci < children.size(); ++ci) {
+      placeChild(ci, ident, children[ci].slot, identPos[ci]);
+    }
+    std::vector<NodeId> clusterNode(regionClusters.size());
+    {
+      std::size_t idx = 0;
+      for (std::size_t ci = 0; ci < children.size(); ++ci) {
+        for (const NodeId n : identPos[ci]) clusterNode[idx++] = n;
+      }
+    }
+    std::vector<std::vector<double>> pairVol(
+        children.size(), std::vector<double>(children.size(), 0.0));
+    for (const FlowRef& f : flows) {
+      const std::size_t ca = childOfCluster[f.a];
+      const std::size_t cb = childOfCluster[f.b];
+      if (ca == cb) continue;
+      const NodeId na = clusterNode[f.a];
+      const NodeId nb = clusterNode[f.b];
+      // Mcl: the flow's own maximum channel load, summed per channel in
+      // route order (contributions are non-negative, so the running max
+      // is the max of the final sums).
+      double v = 0;
+      if (!useLoads) {
+        v = f.bytes * regionTopo.distance(na, nb);
+      } else if (na != nb) {
+        delta.clear();
+        forFlow(na, nb, f.bytes, [&](ChannelId c, double x) {
+          v = std::max(v, delta.add(c, x));
+        });
+      }
+      pairVol[ca][cb] += v;
+      pairVol[cb][ca] += v;
+    }
+    for (std::size_t ci = 0; ci < children.size(); ++ci) {
+      double sum = 0;
+      for (std::size_t cj = 0; cj < children.size(); ++cj) {
+        sum += pairVol[ci][cj];
+      }
+      avgInteraction[ci] =
+          children.size() > 1
+              ? sum / static_cast<double>(children.size() - 1)
+              : 0;
+    }
+  }
+  std::vector<std::size_t> order(children.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return avgInteraction[a] > avgInteraction[b];
+                   });
+
+  // ---- Beam search --------------------------------------------------------
+  const std::size_t slotCount = static_cast<std::size_t>(slotGrid.numNodes());
+  const auto loadSlots = static_cast<std::size_t>(regionTopo.numChannelSlots());
+
+  BeamEntry seed;
+  seed.localNode.assign(regionClusters.size(), kInvalidNode);
+  if (useLoads) seed.loads.assign(loadSlots, 0.0);
+  seed.orientationOfChild.assign(children.size(),
+                                 Orientation::identity(childShape.size()));
+  seed.slotOfChild.assign(children.size(), Coord(childShape.size(), 0));
+  seed.slotUsed.resize(slotCount, 0);
+  std::vector<BeamEntry> beam{seed};
+
+  // Anytime guarantee: the lineage that keeps every child at its phase-2
+  // pinned slot with identity orientation always survives pruning, so the
+  // merge result is never worse than the pseudo-pins it refines.
+  std::size_t pinnedLineage = 0;
+
   std::vector<NodeId> childPos;
 
   struct Candidate {
@@ -347,7 +354,11 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     return m;
   };
 
+  // Result of each class representative at the current (parent, slot).
+  std::vector<double> classResult(orients.size());
   for (const std::size_t ci : order) {
+    const std::vector<std::size_t> classOf =
+        orientationClasses(orients, children[ci].localPos, childShape);
     std::vector<Candidate> best;  // kept sorted ascending, max beamWidth
     const auto beamFull = [&] {
       return best.size() >= static_cast<std::size_t>(cfg.beamWidth);
@@ -409,9 +420,18 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         if (entry.slotUsed[slotId]) continue;
         const Coord slot = slotGrid.coordOf(static_cast<NodeId>(slotId));
         for (std::size_t oi = 0; oi < orients.size(); ++oi) {
-          placeChild(ci, orients[oi], slot, childPos);
-          const double objective = evaluate(ci, entry, bound());
+          const std::size_t rep = classOf[oi];
+          if (rep == oi) {
+            placeChild(ci, orients[oi], slot, childPos);
+            classResult[oi] = evaluate(ci, entry, bound());
+          }
           countCandidates(1);
+          // A later class member reuses the representative's result, which
+          // is exact because bound() never rises within a child step: an
+          // abandoned representative exceeded a bound >= today's, and an
+          // exact X is abandoned now iff X > bound().
+          const double objective =
+              classResult[rep] > bound() ? kUnbounded : classResult[rep];
           if (objective != kUnbounded) consider({bi, oi, slotId, objective});
         }
       }

@@ -26,6 +26,20 @@
 /// Pruned candidates still count in `rahtm.merge.candidates` and in the
 /// `merge_candidates` heartbeat. The pinned-lineage candidate is always
 /// kept, so it is evaluated without a bound.
+///
+/// Orientation classes: orientations that send every cluster of a child to
+/// the same cell place it identically (all 120 orientations of a one-node
+/// block do), so each child gets a class table once per call
+/// (`orientationClasses`; a slot only translates the image, so the table
+/// holds for every slot). Per (parent, slot) only the first orientation of
+/// each class is placed and evaluated; every orientation still goes through
+/// `consider` in enumeration order, a later class member reusing its
+/// representative's result. This is exact because the bound never rises
+/// within one child step: a representative abandoned at bound b exceeded
+/// b >= today's bound, so its duplicate is abandoned too, and an exact
+/// objective X is abandoned exactly when X > bound(). The inserts and
+/// rejections, hence survivors, their order and the candidate count, are
+/// those of evaluating every orientation.
 
 #include <vector>
 

@@ -23,11 +23,13 @@ Shape parseShapeSpec(const std::string& spec) {
 }
 
 /// An integer member in [lo, hi] (the int64 range by default), checked on
-/// the JSON number before any narrowing cast.
+/// the JSON number before any narrowing cast. \p prefix names the enclosing
+/// object in the error ("graph.").
 std::int64_t intMember(
     const obs::JsonValue& doc, const std::string& key, std::int64_t fallback,
     std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
-    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max(),
+    const char* prefix = "") {
   const obs::JsonValue* v = doc.find(key);
   if (v == nullptr) return fallback;
   // hi + 1 as a double is exact for int bounds and rounds to 2^63 for the
@@ -36,8 +38,8 @@ std::int64_t intMember(
                           v->number < static_cast<double>(hi) + 1.0) ||
       v->number != std::floor(v->number)) {
     std::ostringstream os;
-    os << "request member '" << key << "' must be an integer in [" << lo
-       << ", " << hi << "]";
+    os << "request member '" << prefix << key << "' must be an integer in ["
+       << lo << ", " << hi << "]";
     if (v->isNumber()) os << ", got " << v->number;
     throw ParseError(os.str());
   }
@@ -69,18 +71,21 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
   const std::string machine = doc.stringOr("machine", "");
   if (machine.empty()) throw ParseError("request missing 'machine'");
   req.machine = parseShapeSpec(machine);
-  req.concentration =
-      static_cast<int>(intMember(doc, "concentration", req.concentration));
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  req.concentration = static_cast<int>(
+      intMember(doc, "concentration", req.concentration, 1, kIntMax));
   req.benchmark = doc.stringOr("benchmark", req.benchmark);
-  req.messageBytes = intMember(doc, "bytes", req.messageBytes);
+  req.messageBytes = intMember(doc, "bytes", req.messageBytes, 0,
+                               std::numeric_limits<std::int64_t>::max());
   req.mapper = doc.stringOr("mapper", req.mapper);
-  req.beamWidth = static_cast<int>(intMember(
-      doc, "beam", req.beamWidth, 1, std::numeric_limits<int>::max()));
+  req.beamWidth =
+      static_cast<int>(intMember(doc, "beam", req.beamWidth, 1, kIntMax));
   req.enableMerge = boolMember(doc, "merge", req.enableMerge);
   req.finalRefinement = boolMember(doc, "refine", req.finalRefinement);
-  req.leafMilpVerts =
-      static_cast<int>(intMember(doc, "leaf_milp", req.leafMilpVerts));
-  req.threads = static_cast<int>(intMember(doc, "threads", req.threads));
+  req.leafMilpVerts = static_cast<int>(
+      intMember(doc, "leaf_milp", req.leafMilpVerts, 0, kIntMax));
+  req.threads =
+      static_cast<int>(intMember(doc, "threads", req.threads, 0, kIntMax));
   req.seed = static_cast<std::uint64_t>(
       intMember(doc, "seed", static_cast<std::int64_t>(req.seed)));
   const std::string grid = doc.stringOr("grid", "");
@@ -88,8 +93,11 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
 
   if (const obs::JsonValue* g = doc.find("graph")) {
     if (!g->isObject()) throw ParseError("request 'graph' must be an object");
-    const auto ranks = static_cast<RankId>(intMember(*g, "ranks", 0));
-    if (ranks <= 0) throw ParseError("graph.ranks must be positive");
+    if (g->find("ranks") == nullptr) {
+      throw ParseError("request member 'graph.ranks' is required");
+    }
+    const auto ranks = static_cast<RankId>(intMember(
+        *g, "ranks", 0, 1, std::numeric_limits<RankId>::max(), "graph."));
     req.graph = CommGraph(ranks);
     const obs::JsonValue* flows = g->find("flows");
     if (flows == nullptr || !flows->isArray()) {
@@ -100,9 +108,27 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
           !f.array[1].isNumber() || !f.array[2].isNumber()) {
         throw ParseError("graph.flows entries must be [src,dst,bytes]");
       }
+      // Endpoints index the declared ranks (an out-of-range endpoint would
+      // grow the graph past them); bytes are a finite, non-negative volume.
+      for (int end = 0; end < 2; ++end) {
+        const double v = f.array[static_cast<std::size_t>(end)].number;
+        if (!(v >= 0 && v < static_cast<double>(ranks)) ||
+            v != std::floor(v)) {
+          std::ostringstream os;
+          os << "graph.flows " << (end == 0 ? "src" : "dst")
+             << " must be an integer in [0, " << ranks << "), got " << v;
+          throw ParseError(os.str());
+        }
+      }
+      const double bytes = f.array[2].number;
+      if (!std::isfinite(bytes) || bytes < 0) {
+        std::ostringstream os;
+        os << "graph.flows bytes must be finite and >= 0, got " << bytes;
+        throw ParseError(os.str());
+      }
       req.graph.addFlow(static_cast<RankId>(f.array[0].number),
                         static_cast<RankId>(f.array[1].number),
-                        static_cast<Volume>(f.array[2].number));
+                        static_cast<Volume>(bytes));
     }
     req.hasGraph = true;
   }

@@ -1,6 +1,7 @@
 #include "topology/orientation.hpp"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -145,6 +146,25 @@ std::int64_t countOrientations(const Shape& shape) {
     if (shape[i] > 1) flips *= 2;
   }
   return permCount * flips;
+}
+
+std::vector<std::size_t> orientationClasses(
+    const std::vector<Orientation>& orients,
+    const std::vector<Coord>& positions, const Shape& shape) {
+  // Key each orientation by the concatenated images of the positions; the
+  // first orientation to produce a key represents it.
+  std::map<std::vector<std::int32_t>, std::size_t> firstWithImage;
+  std::vector<std::size_t> rep(orients.size());
+  std::vector<std::int32_t> image;
+  for (std::size_t i = 0; i < orients.size(); ++i) {
+    image.clear();
+    for (const Coord& p : positions) {
+      const Coord q = orients[i].apply(p, shape);
+      image.insert(image.end(), q.begin(), q.end());
+    }
+    rep[i] = firstWithImage.emplace(image, i).first->second;
+  }
+  return rep;
 }
 
 }  // namespace rahtm

@@ -61,4 +61,15 @@ std::vector<Orientation> enumerateOrientations(const Shape& shape);
 /// Number of orientations enumerateOrientations() would return.
 std::int64_t countOrientations(const Shape& shape);
 
+/// Orientation classes of a partially or fully occupied block: rep[i] is
+/// the first index j <= i such that orients[j] and orients[i] send every
+/// position to the same cell (positions[k] is compared element-wise, so
+/// two orientations that only permute the occupied cells among each other
+/// stay in different classes). Orientations in one class place the block's
+/// contents identically, so any placement cost computed for rep[i] also
+/// holds for i. rep[i] == i exactly for the class representatives.
+std::vector<std::size_t> orientationClasses(
+    const std::vector<Orientation>& orients,
+    const std::vector<Coord>& positions, const Shape& shape);
+
 }  // namespace rahtm

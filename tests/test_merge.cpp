@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -217,7 +218,7 @@ TEST(Merge, BeamWidthOneIsGreedy) {
 /// fixed random flow set: enough candidates (8 slots x 8 orientations per
 /// parent) that the beam fills and the exact prune fires at every width.
 /// Odd children carry a pin layout distinct from their merged layout.
-struct PruneScenario {
+struct MergeScenario {
   Torus region = Torus::torus(Shape{4, 4, 2});
   Shape childShape{2, 2, 1};
   Shape childGrid{2, 2, 2};
@@ -225,8 +226,8 @@ struct PruneScenario {
   CommGraph g{32};
 };
 
-PruneScenario pruneScenario() {
-  PruneScenario s;
+MergeScenario pruneScenario() {
+  MergeScenario s;
   Rng rng(41);
   const Torus slots = Torus::mesh(s.childGrid);
   for (int ci = 0; ci < 8; ++ci) {
@@ -323,7 +324,7 @@ TEST(Merge, BoundPruneKeepsRecordedResults) {
        "[-0 +1 +2][+0 -1 +2][+1 +0 +2][-1 +0 +2]"
        "[+0 +1 +2][-0 +1 +2][-1 -0 +2][-0 -1 +2]"},
   };
-  const PruneScenario sc = pruneScenario();
+  const MergeScenario sc = pruneScenario();
   for (const auto& r : recorded) {
     MergeConfig cfg;
     cfg.beamWidth = r.beam;
@@ -350,11 +351,196 @@ TEST(Merge, BoundPruneKeepsRecordedResults) {
   }
 }
 
+/// The root merge of the CI-scale solve: 32 one-node children on the
+/// 2x2x2x2x2 torus. Every one of the 120 orientations of a one-node block
+/// places it identically, so each (parent, slot) has one distinct
+/// placement. Slots are a shuffled identity, flows random.
+MergeScenario cube32Scenario() {
+  MergeScenario s;
+  s.region = Torus::torus(Shape{2, 2, 2, 2, 2});
+  s.childShape = Shape{1, 1, 1, 1, 1};
+  s.childGrid = Shape{2, 2, 2, 2, 2};
+  s.g = CommGraph(32);
+  Rng rng(7);
+  std::vector<NodeId> slotOf(32);
+  for (int i = 0; i < 32; ++i) slotOf[static_cast<std::size_t>(i)] = i;
+  rng.shuffle(slotOf);
+  for (int ci = 0; ci < 32; ++ci) {
+    MergeChild c;
+    c.clusters = {ci};
+    c.localPos = {Coord{0, 0, 0, 0, 0}};
+    c.slot = s.region.coordOf(slotOf[static_cast<std::size_t>(ci)]);
+    s.children.push_back(c);
+  }
+  // A heavy ring in cluster order (which the shuffled pins scatter) under
+  // light random traffic.
+  for (RankId a = 0; a < 32; ++a) s.g.addExchange(a, (a + 1) % 32, 8192.0);
+  for (int i = 0; i < 64; ++i) {
+    const auto a = static_cast<RankId>(rng.nextBounded(32));
+    const auto b = static_cast<RankId>(rng.nextBounded(32));
+    s.g.addFlow(a, b, static_cast<double>(rng.nextBounded(64) + 1) * 128.0);
+  }
+  return s;
+}
+
+/// Eight partly filled 2x2x1 blocks on a 4x4x2 torus. Occupancy cycles
+/// through one cell (4 distinct placements of the 8 orientations), a
+/// diagonal pair (4), an adjacent pair (8) and a full block (8), so some
+/// children repeat placements and some do not.
+MergeScenario partialScenario() {
+  MergeScenario s;
+  Rng rng(43);
+  const Torus slots = Torus::mesh(s.childGrid);
+  const std::vector<std::vector<Coord>> fills = {
+      {Coord{0, 1, 0}},
+      {Coord{0, 0, 0}, Coord{1, 1, 0}},
+      {Coord{1, 0, 0}, Coord{1, 1, 0}},
+      {Coord{0, 0, 0}, Coord{0, 1, 0}, Coord{1, 0, 0}, Coord{1, 1, 0}}};
+  int next = 0;
+  for (int ci = 0; ci < 8; ++ci) {
+    MergeChild c;
+    c.localPos = fills[static_cast<std::size_t>(ci % 4)];
+    if (ci >= 4) rng.shuffle(c.localPos);
+    for (std::size_t k = 0; k < c.localPos.size(); ++k) {
+      c.clusters.push_back(next++);
+    }
+    c.slot = slots.coordOf(7 - ci);
+    s.children.push_back(c);
+  }
+  s.g = CommGraph(next);
+  for (int i = 0; i < 48; ++i) {
+    const auto a = static_cast<RankId>(rng.nextBounded(next));
+    const auto b = static_cast<RankId>(rng.nextBounded(next));
+    s.g.addFlow(a, b, static_cast<double>(rng.nextBounded(64) + 1) * 128.0);
+  }
+  return s;
+}
+
+/// One merge run and what it produced, recorded before orientation
+/// classes existed.
+struct RecordedMerge {
+  MapObjective objective;
+  bool repositioning;
+  int beam;
+  double resultObjective;
+  std::int64_t candidates;
+  std::vector<NodeId> localNode;
+  /// Chosen orientation per child, as its index in
+  /// enumerateOrientations(childShape).
+  std::vector<int> orientation;
+  /// Chosen slot per child, as its node id in the child grid.
+  std::vector<NodeId> slot;
+};
+
+void expectRecorded(const MergeScenario& sc,
+                    const std::vector<RecordedMerge>& recorded) {
+  const std::vector<Orientation> orients =
+      enumerateOrientations(sc.childShape);
+  const Torus slots = Torus::mesh(sc.childGrid);
+  for (const RecordedMerge& r : recorded) {
+    MergeConfig cfg;
+    cfg.beamWidth = r.beam;
+    cfg.allowRepositioning = r.repositioning;
+    cfg.objective = r.objective;
+    obs::MetricsRegistry reg;
+    obs::setMetrics(&reg);
+    const MergeResult res = mergeChildren(sc.region, sc.childShape,
+                                          sc.childGrid, sc.children, sc.g, cfg);
+    obs::setMetrics(nullptr);
+    std::vector<int> orientation;
+    for (const Orientation& o : res.orientationOfChild) {
+      orientation.push_back(static_cast<int>(
+          std::find(orients.begin(), orients.end(), o) - orients.begin()));
+    }
+    std::vector<NodeId> slot;
+    for (const Coord& c : res.slotOfChild) slot.push_back(slots.nodeId(c));
+    const std::string label =
+        std::string(r.objective == MapObjective::Mcl ? "mcl" : "hop-bytes") +
+        (r.repositioning ? " repositioning" : " pinned") + " beam " +
+        std::to_string(r.beam);
+    EXPECT_EQ(res.localNode, r.localNode) << label;
+    EXPECT_EQ(res.objective, r.resultObjective) << label;
+    EXPECT_EQ(orientation, r.orientation) << label;
+    EXPECT_EQ(slot, r.slot) << label;
+    EXPECT_EQ(reg.counter("rahtm.merge.candidates").value(), r.candidates)
+        << label;
+  }
+}
+
+// Orientations whose placements coincide are evaluated once per (parent,
+// slot) and the rest reuse that result in enumeration order, so the
+// survivors, their order, every result field and the candidate count
+// (which still counts each orientation) equal those recorded when every
+// orientation was evaluated on its own.
+TEST(Merge, OrientationClassesKeepRecordedCube32Results) {
+  // Every run keeps the pinned lineage: the child ids land on their
+  // (shuffled) pinned slots, and with one-node children the slot id is the
+  // node id. The one child whose recorded orientation is the last of the
+  // 120 (all of which tie) shows the tie order among equal placements.
+  const std::vector<NodeId> pinned = {
+      20, 31, 12, 10, 17, 19, 0, 5, 21, 14, 7, 13, 29, 24, 6, 4, 26, 30, 16,
+      18, 15, 11, 3, 9, 2, 1, 23, 27, 28, 25, 8, 22};
+  const auto lastOrientationAt = [](std::size_t child) {
+    std::vector<int> o(32, 0);
+    o[child] = 119;
+    return o;
+  };
+  const std::vector<RecordedMerge> recorded = {
+      {MapObjective::Mcl, false, 1, 12301.866666666674, 7592, pinned,
+       lastOrientationAt(27), pinned},
+      {MapObjective::Mcl, false, 4, 12301.866666666674, 18752, pinned,
+       lastOrientationAt(27), pinned},
+      {MapObjective::Mcl, false, 64, 12301.866666666674, 241952, pinned,
+       lastOrientationAt(27), pinned},
+      {MapObjective::Mcl, true, 1, 12301.866666666674, 33872, pinned,
+       lastOrientationAt(27), pinned},
+      {MapObjective::Mcl, true, 4, 12301.866666666674, 81392, pinned,
+       lastOrientationAt(27), pinned},
+      {MapObjective::Mcl, true, 64, 12301.866666666674, 1031792, pinned,
+       lastOrientationAt(27), pinned},
+      {MapObjective::HopBytes, false, 1, 1866368, 7592, pinned,
+       lastOrientationAt(21), pinned},
+      {MapObjective::HopBytes, false, 4, 1866368, 18752, pinned,
+       lastOrientationAt(21), pinned},
+      {MapObjective::HopBytes, false, 64, 1866368, 241952, pinned,
+       lastOrientationAt(21), pinned},
+      {MapObjective::HopBytes, true, 1, 1866368, 31712, pinned,
+       lastOrientationAt(21), pinned},
+      {MapObjective::HopBytes, true, 4, 1866368, 73112, pinned,
+       lastOrientationAt(21), pinned},
+      {MapObjective::HopBytes, true, 64, 1866368, 901112, pinned,
+       lastOrientationAt(21), pinned},
+  };
+  expectRecorded(cube32Scenario(), recorded);
+}
+
+TEST(Merge, OrientationClassesKeepRecordedPartialBlockResults) {
+  const std::vector<RecordedMerge> recorded = {
+      {MapObjective::Mcl, false, 4, 11050.666666666666, 296,
+       {31, 30, 20, 27, 25, 18, 16, 26, 24, 15, 12, 6, 9, 11, 2, 10, 0, 8},
+       {6, 3, 2, 2, 6, 5, 0, 0},
+       {7, 6, 5, 4, 3, 2, 1, 0}},
+      {MapObjective::Mcl, true, 64, 8853.3333333333339, 14632,
+       {19, 31, 21, 16, 24, 13, 15, 5, 7, 14, 30, 20, 9, 11, 2, 10, 0, 8},
+       {7, 7, 6, 1, 6, 7, 0, 0},
+       {5, 7, 4, 3, 2, 6, 1, 0}},
+      {MapObjective::HopBytes, false, 4, 423552, 296,
+       {31, 30, 20, 17, 25, 18, 16, 26, 24, 15, 4, 14, 9, 11, 2, 10, 0, 8},
+       {6, 7, 6, 2, 1, 4, 0, 0},
+       {7, 6, 5, 4, 3, 2, 1, 0}},
+      {MapObjective::HopBytes, true, 64, 384256, 14632,
+       {22, 8, 2, 6, 14, 27, 19, 25, 17, 23, 24, 18, 15, 13, 3, 1, 11, 9},
+       {7, 1, 4, 7, 0, 5, 2, 7},
+       {6, 0, 2, 5, 7, 4, 3, 1}},
+  };
+  expectRecorded(partialScenario(), recorded);
+}
+
 // The merge candidate loop beats its own heartbeat (batched per 64
 // candidates, pruned ones included), so a long merge is never mistaken for
 // a stall by the watchdog.
 TEST(Merge, AdvancesMergeCandidatesPulse) {
-  const PruneScenario sc = pruneScenario();
+  const MergeScenario sc = pruneScenario();
   obs::Heartbeats& hb = obs::Heartbeats::instance();
   const std::uint64_t before = hb.value(obs::Pulse::MergeCandidates);
   MergeConfig cfg;

@@ -401,6 +401,74 @@ TEST(Protocol, IntegerMembersRejectFractionsAndOverflow) {
             std::numeric_limits<std::int64_t>::min());
 }
 
+// Members narrowed to int (or RankId) carry their own bounds, so a value
+// that fits int64 but not the field is rejected instead of wrapping
+// (4294967297 would become 1), and a negative message size no longer trips
+// an internal check. The error names the member, without a source location.
+TEST(Protocol, MembersCarryTheirFieldBounds) {
+  const std::string head =
+      R"({"schema":"rahtm.serve.request/v1","machine":"2x2",)";
+  const struct {
+    const char* member;
+    const char* name;
+  } rejected[] = {
+      {R"("concentration":0)", "'concentration'"},
+      {R"("concentration":4294967297)", "'concentration'"},
+      {R"("leaf_milp":-1)", "'leaf_milp'"},
+      {R"("leaf_milp":2147483648)", "'leaf_milp'"},
+      {R"("threads":-1)", "'threads'"},
+      {R"("threads":4294967297)", "'threads'"},
+      {R"("graph":{"ranks":0,"flows":[]})", "'graph.ranks'"},
+      {R"("graph":{"ranks":2147483648,"flows":[]})", "'graph.ranks'"},
+      {R"("graph":{"flows":[]})", "'graph.ranks'"},
+      {R"("bytes":-5)", "'bytes'"},
+  };
+  for (const auto& r : rejected) {
+    try {
+      serve::parseMapRequestLine(head + r.member + "}");
+      ADD_FAILURE() << r.member << " accepted";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(r.name), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  }
+  const serve::MapRequest req = serve::parseMapRequestLine(
+      head +
+      R"("concentration":2147483647,"leaf_milp":0,"threads":2147483647,)"
+      R"("bytes":0,"graph":{"ranks":2147483647,"flows":[]}})");
+  EXPECT_EQ(req.concentration, std::numeric_limits<int>::max());
+  EXPECT_EQ(req.leafMilpVerts, 0);
+  EXPECT_EQ(req.threads, std::numeric_limits<int>::max());
+  EXPECT_EQ(req.messageBytes, 0);
+  EXPECT_EQ(req.graph.numRanks(), std::numeric_limits<RankId>::max());
+}
+
+// Flow endpoints must index the declared ranks (a far endpoint used to grow
+// the graph to 2e9 ranks; 1e20 was an undefined cast) and bytes must be a
+// finite, non-negative volume.
+TEST(Protocol, FlowEntriesAreRangeChecked) {
+  const std::string head =
+      R"({"schema":"rahtm.serve.request/v1","machine":"2x2",)"
+      R"("graph":{"ranks":4,"flows":[)";
+  for (const char* flow :
+       {"[1e20,0,1]", "[0,2000000000,1]", "[-1,0,1]", "[0,4,1]", "[0.5,1,1]",
+        "[0,1,-1]", "[0,1,1e400]", "[0,-1e400,1]"}) {
+    try {
+      serve::parseMapRequestLine(head + flow + "]}}");
+      ADD_FAILURE() << flow << " accepted";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("graph.flows"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  }
+  const serve::MapRequest req =
+      serve::parseMapRequestLine(head + "[3,0,0],[0,3,2.5]]}}");
+  EXPECT_EQ(req.graph.numRanks(), 4);
+  EXPECT_EQ(req.graph.volume(0, 3), 2.5);
+}
+
 TEST(Protocol, ResponseRoundTripValidates) {
   serve::MapService service;
   const serve::MapResponse resp = service.handle(cgRequest({2, 2, 2}, 1));

@@ -216,6 +216,82 @@ TEST(Orientation, PreservesAdjacency) {
   }
 }
 
+/// Class table of \p positions in a block of \p shape over the block's full
+/// orientation group, checked against the definition: rep[i] is the first
+/// orientation whose image of every position equals orientation i's.
+std::vector<std::size_t> checkedClasses(const Shape& shape,
+                                        const std::vector<Coord>& positions) {
+  const std::vector<Orientation> orients = enumerateOrientations(shape);
+  const std::vector<std::size_t> rep =
+      orientationClasses(orients, positions, shape);
+  EXPECT_EQ(rep.size(), orients.size());
+  const auto sameImage = [&](std::size_t i, std::size_t j) {
+    for (const Coord& p : positions) {
+      if (!(orients[i].apply(p, shape) == orients[j].apply(p, shape))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t i = 0; i < rep.size(); ++i) {
+    std::size_t first = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (sameImage(i, j)) {
+        first = j;
+        break;
+      }
+    }
+    EXPECT_EQ(rep[i], first) << orients[i].describe();
+  }
+  return rep;
+}
+
+std::size_t classCount(const std::vector<std::size_t>& rep) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < rep.size(); ++i) n += rep[i] == i ? 1 : 0;
+  return n;
+}
+
+TEST(OrientationClasses, OneNodeBlockIsOneClass) {
+  // Every orientation of a one-node block puts its cluster on that node.
+  const auto rep = checkedClasses(Shape{1, 1, 1, 1, 1}, {Coord{0, 0, 0, 0, 0}});
+  EXPECT_EQ(rep.size(), 120u);
+  EXPECT_EQ(classCount(rep), 1u);
+  for (const std::size_t r : rep) EXPECT_EQ(r, 0u);
+}
+
+TEST(OrientationClasses, FlipOfTwoClustersIsItsOwnClass) {
+  // 4! permutations of the degenerate dims x the one flip: the flip swaps
+  // the two clusters, which is a different placement.
+  const auto rep = checkedClasses(
+      Shape{2, 1, 1, 1, 1}, {Coord{0, 0, 0, 0, 0}, Coord{1, 0, 0, 0, 0}});
+  EXPECT_EQ(rep.size(), 48u);
+  EXPECT_EQ(classCount(rep), 2u);
+}
+
+TEST(OrientationClasses, FullBlockHasOneClassPerOrientation) {
+  const Shape shape{2, 2, 2};
+  const Torus t = Torus::mesh(shape);
+  std::vector<Coord> all;
+  for (NodeId n = 0; n < t.numNodes(); ++n) all.push_back(t.coordOf(n));
+  const auto rep = checkedClasses(shape, all);
+  EXPECT_EQ(classCount(rep), 48u);
+  for (std::size_t i = 0; i < rep.size(); ++i) EXPECT_EQ(rep[i], i);
+}
+
+TEST(OrientationClasses, PartiallyFilledBlock) {
+  const Shape shape{2, 2, 2};
+  // One corner reaches each of the 8 corners; an ordered edge each of the
+  // 12 edges in both directions; an empty block has one placement.
+  EXPECT_EQ(classCount(checkedClasses(shape, {Coord{0, 1, 0}})), 8u);
+  EXPECT_EQ(classCount(checkedClasses(shape, {Coord{0, 0, 0}, Coord{0, 0, 1}})),
+            24u);
+  EXPECT_EQ(classCount(checkedClasses(shape, {})), 1u);
+  // Unequal extents: a 4x2 block has 4 orientations; one cell at (1, 0)
+  // reaches (1,0), (1,1), (2,0), (2,1).
+  EXPECT_EQ(classCount(checkedClasses(Shape{4, 2}, {Coord{1, 0}})), 4u);
+}
+
 // ---- Subcubes ---------------------------------------------------------------
 
 TEST(Subcube, CoordinateTranslation) {

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -42,6 +43,24 @@ Shape parseShape(const std::string& spec) {
     shape.push_back(static_cast<std::int32_t>(parseInt(part)));
   }
   return shape;
+}
+
+/// Integer flag --\p name in [lo, hi], \p fallback when absent. A malformed
+/// or out-of-range value is reported (naming the flag) and yields nullopt,
+/// so the tool can reject it before any work starts.
+std::optional<std::int64_t> intFlag(const CliArgs& args,
+                                    const std::string& name,
+                                    std::int64_t fallback, std::int64_t lo,
+                                    std::int64_t hi) {
+  try {
+    const std::int64_t v = args.getInt(name, fallback);
+    if (v >= lo && v <= hi) return v;
+  } catch (const ParseError&) {
+    // Malformed text: reported below like an out-of-range value.
+  }
+  std::cerr << "error: --" << name << " must be an integer in [" << lo << ", "
+            << hi << "], got '" << args.getString(name, "") << "'\n";
+  return std::nullopt;
 }
 
 int usage(const char* argv0) {
@@ -110,11 +129,20 @@ int main(int argc, char** argv) {
 
     const CliArgs args(argc, argv);
     if (args.has("help") || !args.has("machine")) return usage(argv[0]);
-    const std::int64_t beam = args.getInt("beam", 64);
-    if (beam < 1 || beam > std::numeric_limits<int>::max()) {
-      std::cerr << "error: --beam must be an integer in [1, "
-                << std::numeric_limits<int>::max() << "], got " << beam
-                << "\n";
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    const auto beam = intFlag(args, "beam", 64, 1, kIntMax);
+    const auto concentrationFlag =
+        intFlag(args, "concentration", 1, 1, kIntMax);
+    // The offline tool defaults to the paper's exact MILP on every leaf
+    // cube it can reach (the library default is tuned for test speed).
+    const auto leafMilp = intFlag(args, "leaf-milp", 8, 0, kIntMax);
+    const auto threads =
+        intFlag(args, "threads", exec::threadsFromEnv(), 0, kIntMax);
+    const auto simThreads = intFlag(args, "sim-threads", 1, 0, kIntMax);
+    const auto bytes = intFlag(args, "bytes", 4096, 0,
+                               std::numeric_limits<std::int64_t>::max());
+    if (!beam || !concentrationFlag || !leafMilp || !threads || !simThreads ||
+        !bytes) {
       return 2;
     }
     if (args.getBool("verbose")) setLogLevel(LogLevel::Info);
@@ -175,8 +203,7 @@ int main(int argc, char** argv) {
     const bool memReport = args.getBool("mem-report");
 
     const Torus machine = Torus::torus(parseShape(args.getString("machine", "")));
-    const int concentration =
-        static_cast<int>(args.getInt("concentration", 1));
+    const auto concentration = static_cast<int>(*concentrationFlag);
     const auto ranks =
         static_cast<RankId>(machine.numNodes() * concentration);
 
@@ -217,16 +244,13 @@ int main(int argc, char** argv) {
     req.machine = machine.shape();
     req.concentration = concentration;
     req.benchmark = args.getString("benchmark", "CG");
-    req.messageBytes = args.getInt("bytes", 4096);
+    req.messageBytes = *bytes;
     req.mapper = args.getString("mapper", "rahtm");
-    req.beamWidth = static_cast<int>(beam);
+    req.beamWidth = static_cast<int>(*beam);
     req.enableMerge = !args.getBool("no-merge");
     req.finalRefinement = !args.getBool("no-refine");
-    // The offline tool defaults to the paper's exact MILP on every leaf
-    // cube it can reach (the library default is tuned for test speed).
-    req.leafMilpVerts = static_cast<int>(args.getInt("leaf-milp", 8));
-    req.threads =
-        static_cast<int>(args.getInt("threads", exec::threadsFromEnv()));
+    req.leafMilpVerts = static_cast<int>(*leafMilp);
+    req.threads = static_cast<int>(*threads);
 
     serve::RequestInput input;
     if (args.has("profile")) {
@@ -282,8 +306,12 @@ int main(int argc, char** argv) {
     std::cerr << which << ": mapped " << resp.ranks << " ranks (" << resp.flows
               << " flows) onto " << machine.describe() << ", concentration "
               << concentration << "\n";
+    // Full round-trip precision, so the line pins the mapping's quality.
+    const auto precision =
+        std::cerr.precision(std::numeric_limits<double>::max_digits10);
     std::cerr << "  MCL (MAR model): " << resp.mcl
               << ", hop-bytes: " << resp.hopBytes << "\n";
+    std::cerr.precision(precision);
 
     const std::string outPath = args.getString("out", "rahtm.map");
     std::ofstream out(outPath);
@@ -298,7 +326,7 @@ int main(int argc, char** argv) {
     if (simulate) {
       simnet::SimConfig sim;
       sim.injectionBandwidth = 8;
-      sim.threads = static_cast<int>(args.getInt("sim-threads", 1));
+      sim.threads = static_cast<int>(*simThreads);
       const std::string fidelity = args.getString("sim-fidelity", "cycle");
       if (fidelity == "flow") {
         sim.fidelity = simnet::SimFidelity::Flow;
